@@ -74,7 +74,9 @@ pub struct StudyReport {
     pub per_transformation: Vec<TransformationResult>,
     /// Total simulated cost in seconds (inference dominates, as in Section V).
     pub simulated_cost_seconds: f64,
-    /// Wall-clock seconds actually spent by this (CPU) reproduction.
+    /// Wall-clock seconds spent inside the study: embedding, kNN,
+    /// estimators and the scheduler. Excludes fitting the transformation
+    /// zoo, which callers do before the study starts (`zoo_for_task`).
     pub wall_clock_seconds: f64,
     /// Additional guidance of Section IV-C.
     pub guidance: AdditionalGuidance,

@@ -80,7 +80,17 @@ pub struct PcaTransform {
 impl PcaTransform {
     /// Fits PCA with `k` components on `train`.
     pub fn fit(train: &Matrix, k: usize) -> Self {
-        let pca = Pca::fit(train, k);
+        Self::from_pca(Pca::fit(train, k))
+    }
+
+    /// The same fit keeping only the leading `k` components — what
+    /// `PcaTransform::fit(train, k)` would return, without another
+    /// eigendecomposition (see [`Pca::truncated`]).
+    pub fn truncated(&self, k: usize) -> Self {
+        Self::from_pca(self.pca.truncated(k))
+    }
+
+    fn from_pca(pca: Pca) -> Self {
         Self { name: format!("pca{}", pca.num_components()), pca, cost: 2e-6 }
     }
 }
@@ -142,6 +152,14 @@ pub struct SupervisedProjection {
 impl SupervisedProjection {
     /// Fits the projection on labelled training data, keeping `k` directions
     /// (clamped to `min(C − 1, d)`).
+    ///
+    /// The between-class scatter `MᵀM` (rows of `M` are `√w_c (μ_c − μ)`,
+    /// `w_c` the class frequency) is `d × d` but has rank at most `C − 1`, so
+    /// its eigen-pairs come from the `C × C` Gram matrix `M Mᵀ` instead: an
+    /// eigenvector `u` with eigenvalue `λ` maps to the unit direction
+    /// `Mᵀu / √λ`. Directions with `λ ≤ 1e-5 · λ_max` (empty classes, fewer
+    /// distinct class means than `k`) are left as zero columns, so the output
+    /// width is always `k`.
     pub fn fit(train: &Matrix, labels: &[u32], num_classes: usize, k: usize) -> Self {
         assert_eq!(train.rows(), labels.len(), "feature/label count mismatch");
         let standardizer = Standardizer::fit(train);
@@ -149,42 +167,46 @@ impl SupervisedProjection {
         let d = std_train.cols();
         let k = k.min(num_classes.saturating_sub(1).max(1)).min(d);
 
-        // Between-class scatter of standardised data.
+        // Rows of `M`: class sums first, then `√w_c (μ_c − μ)`; an empty
+        // class keeps a zero row.
         let global_mean = std_train.column_means();
-        let mut class_means = vec![vec![0.0f64; d]; num_classes];
+        let mut m = vec![vec![0.0f64; d]; num_classes];
         let mut counts = vec![0usize; num_classes];
         for (i, &y) in labels.iter().enumerate() {
             counts[y as usize] += 1;
-            for (j, v) in std_train.row(i).iter().enumerate() {
-                class_means[y as usize][j] += *v as f64;
+            for (acc, v) in m[y as usize].iter_mut().zip(std_train.row(i)) {
+                *acc += *v as f64;
             }
         }
-        let mut scatter = Matrix::zeros(d, d);
-        for (c, mean) in class_means.iter_mut().enumerate() {
-            if counts[c] == 0 {
+        for (row, &count) in m.iter_mut().zip(&counts) {
+            if count == 0 {
                 continue;
             }
-            for v in mean.iter_mut() {
-                *v /= counts[c] as f64;
-            }
-            let weight = counts[c] as f64 / labels.len().max(1) as f64;
-            for a in 0..d {
-                let da = mean[a] - global_mean[a];
-                for b in a..d {
-                    let db = mean[b] - global_mean[b];
-                    let add = (weight * da * db) as f32;
-                    scatter.set(a, b, scatter.get(a, b) + add);
-                    if a != b {
-                        scatter.set(b, a, scatter.get(b, a) + add);
-                    }
-                }
+            let scale = (count as f64 / labels.len() as f64).sqrt();
+            for (v, g) in row.iter_mut().zip(&global_mean) {
+                *v = scale * (*v / count as f64 - g);
             }
         }
-        let eig = symmetric_eigen(&scatter, 60);
+        let mut gram = Matrix::zeros(num_classes, num_classes);
+        for a in 0..num_classes {
+            for b in a..num_classes {
+                let v = m[a].iter().zip(&m[b]).map(|(x, y)| x * y).sum::<f64>() as f32;
+                gram.set(a, b, v);
+                gram.set(b, a, v);
+            }
+        }
+        let eig = symmetric_eigen(&gram);
+        let lambda_max = eig.values.first().copied().unwrap_or(0.0);
         let mut projection = Matrix::zeros(d, k);
-        for col in 0..k {
+        for (col, &lambda) in eig.values.iter().enumerate().take(k) {
+            if lambda <= 1e-5 * lambda_max || lambda <= 0.0 {
+                continue;
+            }
+            let u = eig.vectors.row(col);
+            let inv_norm = 1.0 / lambda.sqrt();
             for row in 0..d {
-                projection.set(row, col, eig.vectors.get(col, row));
+                let dir = m.iter().zip(u).map(|(mc, &uc)| mc[row] * uc as f64).sum::<f64>();
+                projection.set(row, col, (inv_norm * dir) as f32);
             }
         }
         Self { name: "nca".to_string(), standardizer, projection }
@@ -231,6 +253,42 @@ mod tests {
         let out = pca.transform_matrix(&task.test.features);
         assert_eq!(out.rows(), task.test.len());
         assert_eq!(out.cols(), 16);
+    }
+
+    #[test]
+    fn truncated_pca_is_bit_identical_to_a_narrower_fit() {
+        let task = load_clean("cifar10", SizeScale::Tiny, 2);
+        let x = &task.train.features;
+        let wide = Pca::fit(x, 128);
+        let narrow = Pca::fit(x, 32);
+        let truncated = wide.truncated(32);
+        assert_eq!(truncated.components(), narrow.components());
+        assert_eq!(truncated.explained_variance(), narrow.explained_variance());
+        assert_eq!(truncated.transform(&task.test.features), narrow.transform(&task.test.features));
+
+        let via_transform = PcaTransform::fit(x, 128).truncated(32);
+        assert_eq!(via_transform.name(), "pca32");
+        assert_eq!(
+            via_transform.transform_matrix(&task.test.features),
+            PcaTransform::fit(x, 32).transform_matrix(&task.test.features)
+        );
+    }
+
+    #[test]
+    fn supervised_projection_keeps_its_width_with_an_empty_class() {
+        let task = load_clean("cifar10", SizeScale::Tiny, 6);
+        // Fold class 3 into class 0, leaving class 3 with no samples.
+        let labels: Vec<u32> = task.train.labels.iter().map(|&y| if y == 3 { 0 } else { y }).collect();
+        let full = SupervisedProjection::fit(&task.train.features, &task.train.labels, task.num_classes, 16);
+        let sup = SupervisedProjection::fit(&task.train.features, &labels, task.num_classes, 16);
+        assert_eq!(sup.output_dim(), full.output_dim());
+        assert_eq!(sup.output_dim(), task.num_classes - 1);
+        let out = sup.transform_matrix(&task.test.features);
+        assert_eq!(out.cols(), sup.output_dim());
+        assert!(out.data().iter().all(|v| v.is_finite()));
+        // Nine non-empty classes span at most eight directions; the ninth
+        // column is the zero direction.
+        assert!(sup.projection.column(task.num_classes - 2).iter().all(|&v| v == 0.0));
     }
 
     #[test]

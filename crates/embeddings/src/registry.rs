@@ -301,9 +301,12 @@ pub fn vision_zoo(task: &TaskDataset, seed: u64) -> Vec<Box<dyn Transformation>>
     let mut zoo: Vec<Box<dyn Transformation>> = Vec::new();
     let raw_dim = task.raw_dim();
     zoo.push(Box::new(Identity::new(raw_dim)));
-    for k in [32usize, 64, 128] {
-        if k < raw_dim {
-            zoo.push(Box::new(PcaTransform::fit(&task.train.features, k)));
+    // One decomposition serves every PCA width: fit the widest, slice the rest.
+    let widths: Vec<usize> = [32usize, 64, 128].into_iter().filter(|&k| k < raw_dim).collect();
+    if let Some(&widest) = widths.last() {
+        let pca = PcaTransform::fit(&task.train.features, widest);
+        for &k in &widths {
+            zoo.push(Box::new(pca.truncated(k)));
         }
     }
     zoo.push(Box::new(SupervisedProjection::fit(

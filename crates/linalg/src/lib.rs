@@ -25,7 +25,8 @@
 //! * Lloyd's k-means with deterministic seeding and cluster-contiguous
 //!   row-partition buffers ([`kmeans`]) — the coarse-partition substrate of
 //!   the exact pruned nearest-neighbour index in `snoopy-knn`,
-//! * a Jacobi eigen-solver for symmetric matrices ([`eigen`]),
+//! * a symmetric eigensolver — Householder tridiagonalisation plus
+//!   implicit-shift QL, with a deterministic eigenvector sign ([`eigen`]),
 //! * principal component analysis ([`pca::Pca`]), feature standardisation
 //!   ([`projection::Standardizer`]) and Gaussian random projections
 //!   ([`projection::RandomProjection`]),

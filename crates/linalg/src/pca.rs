@@ -37,7 +37,7 @@ impl Pca {
         let mean_f64 = data.column_means();
         let mean: Vec<f32> = mean_f64.iter().map(|&m| m as f32).collect();
         let cov = data.covariance();
-        let eig = symmetric_eigen(&cov, 60);
+        let eig = symmetric_eigen(&cov);
         let mut components = Matrix::zeros(k, d);
         let mut explained = Vec::with_capacity(k);
         for i in 0..k {
@@ -45,6 +45,20 @@ impl Pca {
             explained.push(eig.values[i].max(0.0));
         }
         Self { mean, components, explained_variance: explained }
+    }
+
+    /// The same fit keeping only the leading `k` components (clamped to
+    /// `1..=num_components()`): bit-identical to `Pca::fit(data, k)`, since
+    /// both slice one full decomposition of the same covariance. Fitting the
+    /// widest PCA once and truncating it serves every narrower width without
+    /// another eigendecomposition.
+    pub fn truncated(&self, k: usize) -> Self {
+        let k = k.clamp(1, self.num_components());
+        Self {
+            mean: self.mean.clone(),
+            components: self.components.slice_rows(0, k),
+            explained_variance: self.explained_variance[..k].to_vec(),
+        }
     }
 
     /// Number of retained components.
@@ -172,6 +186,17 @@ mod tests {
                 assert!((dot - expected).abs() < 1e-4, "dot({i},{j}) = {dot}");
             }
         }
+    }
+
+    #[test]
+    fn truncation_matches_a_narrower_fit() {
+        let data = line_cloud(200, 17);
+        let narrow = Pca::fit(&data, 2);
+        let truncated = Pca::fit(&data, 3).truncated(2);
+        assert_eq!(truncated.components(), narrow.components());
+        assert_eq!(truncated.explained_variance(), narrow.explained_variance());
+        assert_eq!(truncated.transform(&data), narrow.transform(&data));
+        assert_eq!(Pca::fit(&data, 3).truncated(10).num_components(), 3);
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn main() {
         println!("gap to target      : {:+.4}", report.gap);
         println!("best transformation: {}", report.best_transformation);
         println!("simulated GPU cost : {:.1} s", report.simulated_cost_seconds);
-        println!("wall clock         : {:.2} s", report.wall_clock_seconds);
+        println!("study wall clock   : {:.2} s", report.wall_clock_seconds);
         println!("{}", report.guidance.render());
     }
 }
