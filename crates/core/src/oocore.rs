@@ -98,13 +98,13 @@ pub struct OutOfCoreReport {
 /// payload checksums of both files verify on a pool worker concurrently
 /// with the study; a mismatch surfaces as
 /// [`snoopy_linalg::disk::DiskDatasetError::ChecksumMismatch`] (wrapped in
-/// [`DiskPairError::Dataset`]) before any result is returned.
-///
-/// # Panics
-/// Panics if the dataset has fewer than two rows (no train/eval split
-/// exists).
+/// [`DiskPairError::Dataset`]) before any result is returned. A dataset
+/// with fewer than two rows has no train/eval split and fails with
+/// [`DiskPairError::TooFewRows`].
 pub fn run_oocore_study(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreReport, DiskPairError> {
     let dataset = Arc::new(DiskLabeledDataset::open(dir)?);
+    let n = dataset.len();
+    let (train_rows, eval_rows) = split_rows(n, cfg)?;
     // Integrity off the fault path: re-hashing faults every page in, so it
     // runs concurrently with the study instead of serialising in front of
     // it. The verdict gates the return below.
@@ -113,10 +113,6 @@ pub fn run_oocore_study(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreRe
         snoopy_pool::spawn(move || dataset.verify_checksums())
     };
     let full = dataset.view();
-    let n = full.features().rows();
-    assert!(n >= 2, "out-of-core study needs at least one train and one eval row, got {n} total");
-    let eval_rows = cfg.eval_rows.clamp(1, n - 1);
-    let train_rows = n - eval_rows;
 
     let train_x = full.features().slice_rows(0, train_rows);
     let eval_x = full.features().slice_rows(train_rows, n);
@@ -154,13 +150,12 @@ pub fn run_oocore_study(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreRe
 /// The fully-resident reference for [`run_oocore_study`]: same split, same
 /// estimators, but the shared table comes from the in-memory engine. Exists
 /// so parity tests and benches state "paged == resident" in one call.
+/// Fails with [`DiskPairError::TooFewRows`] below two rows, like the study.
 pub fn run_resident_reference(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOfCoreReport, DiskPairError> {
     let dataset = DiskLabeledDataset::open(dir)?;
+    let n = dataset.len();
+    let (train_rows, eval_rows) = split_rows(n, cfg)?;
     let full = dataset.view();
-    let n = full.features().rows();
-    assert!(n >= 2, "reference study needs at least one train and one eval row, got {n} total");
-    let eval_rows = cfg.eval_rows.clamp(1, n - 1);
-    let train_rows = n - eval_rows;
 
     // Materialise both splits as owned matrices — the "everything fits"
     // baseline the paged run is measured against.
@@ -186,6 +181,16 @@ pub fn run_resident_reference(dir: &Path, cfg: &OutOfCoreConfig) -> Result<OutOf
         dim: full.features().cols(),
         num_classes: full.num_classes(),
     })
+}
+
+/// The `(train, eval)` row counts of an `n`-row dataset: the trailing
+/// `cfg.eval_rows` rows, clamped so that each side keeps at least one row.
+fn split_rows(n: usize, cfg: &OutOfCoreConfig) -> Result<(usize, usize), DiskPairError> {
+    if n < 2 {
+        return Err(DiskPairError::TooFewRows { rows: n });
+    }
+    let eval_rows = cfg.eval_rows.clamp(1, n - 1);
+    Ok((n - eval_rows, eval_rows))
 }
 
 #[cfg(test)]
@@ -287,6 +292,20 @@ mod tests {
         let resident = run_resident_reference(dir.path(), &cfg).expect("resident study");
         assert_eq!(paged.table, resident.table);
         assert_eq!(paged.estimates, resident.estimates);
+    }
+
+    #[test]
+    fn single_row_dataset_is_a_typed_error_not_a_panic() {
+        let dir = TempDir::new("oocore_one_row");
+        write_dataset(dir.path(), 3, 1, 4);
+        let cfg = OutOfCoreConfig::default();
+        for (name, result) in [
+            ("study", run_oocore_study(dir.path(), &cfg)),
+            ("reference", run_resident_reference(dir.path(), &cfg)),
+        ] {
+            let err = result.expect_err("one row has no train/eval split");
+            assert!(matches!(err, DiskPairError::TooFewRows { rows: 1 }), "{name}: {err:?}");
+        }
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! Both exact pruned indexes — the fully-resident [`crate::clustered::ClusteredIndex`]
 //! and the shard-paged [`crate::sharded::ShardedIndex`] — compare `f64`
 //! Euclidean lower bounds against the `f32` distances the tile kernel
-//! admits. The inflation/deflation terms that make that comparison sound
-//! (relative slack for the f64 geometry, an absolute kernel-error margin for
-//! the norm-trick cancellation, the subnormal guard, the Euclidean `τ²`
-//! inflation) are derived once in the [`crate::clustered`] module docs; this
-//! module is their single implementation so the two indexes can never drift
-//! apart on the exactness-critical arithmetic.
+//! admits, and both make those comparisons in the one cluster-scan core
+//! ([`crate::scan`]). The inflation/deflation terms that make a comparison
+//! sound (relative slack for the f64 geometry, an absolute kernel-error
+//! margin for the norm-trick cancellation, the subnormal guard, the
+//! Euclidean `τ²` inflation) are derived once in the [`crate::clustered`]
+//! module docs; this module is their single implementation.
 
 use crate::metric::Metric;
 
@@ -65,6 +65,11 @@ impl PruneBounds {
             slack: 1.0 - (2.0 * d + 32.0) * f32::EPSILON as f64,
             abs_guard: f32::MIN_POSITIVE as f64,
         }
+    }
+
+    /// The metric whose stored distances the threshold comparisons read.
+    pub fn metric(&self) -> Metric {
+        self.metric
     }
 
     /// The current stored threshold mapped into squared-distance space with

@@ -76,7 +76,7 @@
 //! cold fold over the surviving window at its global offset (pinned by
 //! `tests/proptest_eviction.rs`, including the buffer-drain re-scan path).
 
-use crate::clustered::{ClusteredIndex, EvalBackend, PruneStats};
+use crate::clustered::{ClusteredIndex, EvalBackend, PruneStats, KMEANS_MAX_ITERS};
 use crate::engine::{EvalEngine, NeighborTable, TopKState};
 use crate::kernel::MetricKernel;
 use crate::metric::Metric;
@@ -138,10 +138,6 @@ impl Default for RepartitionPolicy {
         RepartitionPolicy::Growth(REPARTITION_GROWTH)
     }
 }
-
-/// Iteration cap for the state's internal k-means runs (same rationale as
-/// the one-shot clustered index: convergence only affects pruning power).
-const KMEANS_MAX_ITERS: usize = 16;
 
 /// Seed for the state's internal k-means runs — deterministic per state so
 /// appends are byte-for-byte reproducible.

@@ -42,7 +42,8 @@
 //!   only survivors are re-ranked through the exact f32 kernel — a ~4×
 //!   smaller scan copy with the identical `NeighborTable`,
 //! * the shard-paged out-of-core index ([`sharded::ShardedIndex`]): the
-//!   same partition and bound arithmetic over a borrowed — typically
+//!   same partition, bound arithmetic and scan code — one crate-private
+//!   cluster-scan core serves both indexes — over a borrowed — typically
 //!   mmap-backed ([`snoopy_linalg::disk::DiskDataset`]) — source view, but
 //!   each cluster materialises as an independently loadable/evictable
 //!   shard under an LRU byte budget ([`sharded::PagingStats`],
@@ -78,6 +79,7 @@ pub mod incremental;
 pub mod kernel;
 pub mod metric;
 pub mod quantized;
+pub(crate) mod scan;
 pub mod sharded;
 
 pub use brute::BruteForceIndex;

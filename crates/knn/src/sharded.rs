@@ -5,12 +5,16 @@
 //! — fine when the dataset fits in RAM, a non-starter for the
 //! millions-of-rows datasets the mmap-backed
 //! [`snoopy_linalg::disk::DiskDataset`] makes addressable.
-//! [`ShardedIndex`] keeps the *same* k-means partition and the *same*
-//! triangle-inequality bound arithmetic ([`crate::bounds`]) but materialises
-//! each cluster as an independent **shard** — the gathered f32 member rows,
-//! their per-row centroid distances, the kernel norm cache, and (when
-//! quantized) the int8 shadow — that loads and evicts on demand under a
-//! configurable resident byte budget.
+//! [`ShardedIndex`] keeps the *same* k-means partition and runs the *same*
+//! scan — the crate's private cluster-scan core (the `scan` module), over
+//! the same triangle-inequality bound arithmetic ([`crate::bounds`]) — but
+//! materialises each cluster as an independent **shard** — the gathered f32
+//! member rows, their per-row centroid distances, the kernel norm cache, and
+//! (when quantized) the int8 shadow — that loads and evicts on demand under
+//! a configurable resident byte budget. Per visited cluster the index hands
+//! the scan core rows `0..n` of the shard it faulted in, and prepares the
+//! int8 query once per shard, because the quantized margin depends on each
+//! shard's own shadow.
 //!
 //! ## Paging order *is* prune order
 //!
@@ -39,10 +43,10 @@
 //!
 //! Results are **bit-identical** to the resident index and the exhaustive
 //! engine: member order within a shard ascends by original row index (the
-//! same regrouping [`partition_rows`] produces), every admitted distance
-//! comes from the same [`MetricKernel`] expressions (which depend only on
-//! the pair of rows, never on which buffer holds them), and every prune
-//! decision routes through the shared [`PruneBounds`] arithmetic. Evicting
+//! resident index's regrouping), every admitted distance comes from the
+//! same [`MetricKernel`](crate::kernel::MetricKernel) expressions (which
+//! depend only on the pair of rows, never on which buffer holds them), and
+//! every prune decision is made by the same scan code. Evicting
 //! and re-faulting a shard recomputes identical bytes — gathers and
 //! per-row geometry are deterministic functions of the source view.
 //!
@@ -71,18 +75,15 @@
 //! Queries still scan on one thread (`&mut self`) — the pipeline overlaps
 //! materialisation with scanning, it does not fan the scan out.
 
-use crate::bounds::{euclid_f64, norm_f64, PruneBounds};
-use crate::clustered::{ResidentBytes, KMEANS_SEED};
+use crate::bounds::euclid_f64;
+use crate::clustered::{ResidentBytes, KMEANS_MAX_ITERS, KMEANS_SEED};
 use crate::engine::{EvalEngine, NeighborTable, TopKState};
-use crate::kernel::MetricKernel;
 use crate::metric::Metric;
-use crate::quantized::{AffineQuantizer, QuantizedQuery, QuantizedShadow};
+use crate::quantized::AffineQuantizer;
+use crate::scan::{ClusterLayout, RowBlock, ScanQuery, ScanScratch};
 use crate::PruneStats;
 use snoopy_linalg::kmeans::lloyd_kmeans;
-use snoopy_linalg::{DatasetView, Matrix};
-
-/// Iteration cap for the internal k-means run (mirrors the resident index).
-const KMEANS_MAX_ITERS: usize = 16;
+use snoopy_linalg::DatasetView;
 
 /// Paging counters accumulated by the shard cache over the index's
 /// lifetime — the out-of-core counterpart of [`PruneStats`].
@@ -131,20 +132,14 @@ pub struct PagedResidentBytes {
     pub max_shard: usize,
 }
 
-/// One materialised cluster: the gathered member rows plus everything a
-/// scan needs that is derived from them. Rebuilt deterministically on every
-/// fault, so eviction never loses information.
+/// One materialised cluster: the gathered member rows, ascending by
+/// original row index, plus everything a scan derives from them (the int8
+/// shadow when the index is quantized and the rows pass the overflow
+/// guard). Rebuilt deterministically on every fault, so eviction never
+/// loses information.
 struct Shard {
-    /// Gathered f32 member rows, ascending by original row index.
-    rows: Matrix,
-    /// Per member row: `e(x, c)` to its own centroid in `f64`.
-    row_center: Vec<f64>,
-    /// The tile kernel with this shard's rows bound as its train side.
-    kernel: MetricKernel,
-    /// The int8 shadow (when the index is quantized and the rows pass the
-    /// overflow guard).
-    shadow: Option<QuantizedShadow>,
-    /// Resident footprint of this shard.
+    rows: RowBlock,
+    /// Resident footprint of this shard (`rows.bytes().total()`).
     bytes: usize,
     /// LRU clock value of the last fault or visit.
     last_use: u64,
@@ -160,16 +155,13 @@ fn load_shard(
     centroid: &[f32],
     quantizer: Option<&AffineQuantizer>,
 ) -> Shard {
-    let rows = source.select_rows(ids);
-    let row_center: Vec<f64> = rows.rows_iter().map(|r| euclid_f64(r, centroid)).collect();
-    let mut kernel = MetricKernel::new(metric);
-    kernel.bind_train(rows.view());
-    let shadow = quantizer.and_then(|qz| QuantizedShadow::build(rows.view(), qz.clone()));
-    let bytes = rows.rows() * rows.cols() * size_of::<f32>()
-        + row_center.len() * size_of::<f64>()
-        + kernel.train_bound() * size_of::<f32>()
-        + shadow.as_ref().map_or(0, |s| s.code_bytes() + s.meta_bytes());
-    Shard { rows, row_center, kernel, shadow, bytes, last_use: 0 }
+    let data = source.select_rows(ids);
+    let row_center = data.rows_iter().map(|r| euclid_f64(r, centroid)).collect();
+    let mut rows = RowBlock::new(data, row_center, metric);
+    if let Some(qz) = quantizer {
+        rows.quantize(qz.clone());
+    }
+    Shard { bytes: rows.bytes().total(), rows, last_use: 0 }
 }
 
 /// The borrow-erased description of one speculative [`load_shard`] call,
@@ -324,12 +316,8 @@ impl Prefetcher {
         pos: usize,
         tau_sq: Option<f64>,
         err: f64,
-        bounds: &PruneBounds,
+        layout: &ClusterLayout,
         source: DatasetView<'_>,
-        metric: Metric,
-        members: &[usize],
-        offsets: &[usize],
-        centroids: &Matrix,
         quantizer: Option<&AffineQuantizer>,
     ) {
         let depth = cache.prefetch_depth;
@@ -356,7 +344,7 @@ impl Prefetcher {
                 // current position's own slot survives because its bound
                 // was not pruned (the visit loop checked before calling).
                 let slot_pos = self.rank[self.slots[i].cluster];
-                if bounds.prunes(order[slot_pos].0, tau_sq, err) {
+                if layout.bounds.prunes(order[slot_pos].0, tau_sq, err) {
                     let slot = self.slots.swap_remove(i);
                     Self::waste_slot(cache, slot);
                 } else {
@@ -369,15 +357,16 @@ impl Prefetcher {
             let (lb, _, c) = order[next];
             next += 1;
             if let Some(tau_sq) = tau_sq {
-                if bounds.prunes(lb, tau_sq, err) {
+                if layout.bounds.prunes(lb, tau_sq, err) {
                     break;
                 }
             }
             if cache.resident[c].is_some() || self.slots.iter().any(|s| s.cluster == c) {
                 continue;
             }
-            let ids = &members[offsets[c]..offsets[c + 1]];
-            let job = PrefetchJob::capture(source, metric, ids, centroids.row(c), quantizer);
+            let ids = &layout.ids[layout.range(c)];
+            let metric = layout.bounds.metric();
+            let job = PrefetchJob::capture(source, metric, ids, layout.centroids.row(c), quantizer);
             // SAFETY: joined before `update_topk` returns — see `PrefetchJob`.
             let handle = snoopy_pool::spawn(move || unsafe { job.run() });
             cache.stats.shards_prefetched += 1;
@@ -540,18 +529,10 @@ pub struct ShardedIndex<'a> {
     /// The source rows — on the out-of-core path, a window over a
     /// memory-mapped [`snoopy_linalg::disk::DiskDataset`].
     source: DatasetView<'a>,
-    metric: Metric,
     engine: EvalEngine,
-    /// `nlist × d` centroids (empty clusters dropped) — always resident.
-    centroids: Matrix,
-    /// Per-cluster radius `r_c = max_{x ∈ c} e(x, c)` in `f64`.
-    radii: Vec<f64>,
-    /// Cluster-contiguous original row ids; cluster `c` owns
-    /// `members[offsets[c]..offsets[c + 1]]`, ascending within a cluster.
-    members: Vec<usize>,
-    offsets: Vec<usize>,
-    /// Shared prune-comparison arithmetic (see [`crate::bounds`]).
-    bounds: PruneBounds,
+    /// The partition (centroids, radii, member ids per cluster, prune
+    /// constants) — always resident; shard `c` gathers `ids[range(c)]`.
+    layout: ClusterLayout,
     /// The frozen affine fitted over the *whole* source at
     /// [`ShardedIndex::quantize`] time — every shard encodes against it, so
     /// eviction and re-faulting cannot change any code.
@@ -586,52 +567,11 @@ impl<'a> ShardedIndex<'a> {
         assert!(crate::EvalBackend::prunable(metric), "cosine dissimilarity is not triangle-prunable");
         assert!(!source.is_empty(), "cannot build a sharded index over an empty dataset");
         let km = lloyd_kmeans(source, nlist, KMEANS_MAX_ITERS, KMEANS_SEED, engine.threads());
-        let k = km.centroids.rows();
-
-        // Cluster-contiguous member ids, ascending within each cluster
-        // (assignments are iterated in row order), empty clusters dropped —
-        // the same regrouping `partition_rows` produces, minus the row copy.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (row, &a) in km.assignments.iter().enumerate() {
-            groups[a].push(row);
-        }
-        let keep: Vec<usize> = (0..k).filter(|&c| !groups[c].is_empty()).collect();
-        let centroids = km.centroids.view().select_rows(&keep);
-        let mut members = Vec::with_capacity(source.rows());
-        let mut offsets = Vec::with_capacity(keep.len() + 1);
-        offsets.push(0usize);
-        for &c in &keep {
-            members.extend_from_slice(&groups[c]);
-            offsets.push(members.len());
-        }
-
-        // One streaming pass over the source: per-cluster radii plus the
-        // global max member norm of the kernel-error term. Per-row centroid
-        // distances are shard metadata — recomputed at fault, not stored.
-        let mut radii = vec![0.0f64; keep.len()];
-        let mut max_norm = 0.0f64;
-        for (c, radius) in radii.iter_mut().enumerate() {
-            let cent = centroids.row(c);
-            for &row in &members[offsets[c]..offsets[c + 1]] {
-                let r = source.row(row);
-                *radius = radius.max(euclid_f64(r, cent));
-                max_norm = max_norm.max(norm_f64(r));
-            }
-        }
-
-        let clusters = keep.len();
-        ShardedIndex {
-            source,
-            metric,
-            engine,
-            centroids,
-            radii,
-            members,
-            offsets,
-            bounds: PruneBounds::new(metric, source.cols(), max_norm),
-            quantizer: None,
-            cache: ShardCache::new(clusters, budget_bytes),
-        }
+        // The resident index's grouping and geometry, minus the row copy:
+        // per-row centroid distances are shard metadata, recomputed at fault.
+        let layout = ClusterLayout::build(source, metric, &km.centroids, &km.assignments, |_| {});
+        let cache = ShardCache::new(layout.num_clusters(), budget_bytes);
+        ShardedIndex { source, engine, layout, quantizer: None, cache }
     }
 
     /// Attaches the int8 quantization: fits the affine over the whole
@@ -651,7 +591,8 @@ impl<'a> ShardedIndex<'a> {
         self.quantizer.is_some()
     }
 
-    /// Replaces the engine driving the build-time k-means passes.
+    /// Replaces the engine. The build has already run, so the engine now
+    /// only sets the tile length of the shard scans.
     pub fn with_engine(mut self, engine: EvalEngine) -> Self {
         self.engine = engine;
         self
@@ -659,23 +600,23 @@ impl<'a> ShardedIndex<'a> {
 
     /// Number of indexed source rows.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.layout.ids.len()
     }
 
     /// Whether the index is empty (never — build rejects empty sources —
     /// but the standard pair keeps clippy and callers honest).
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.layout.ids.is_empty()
     }
 
     /// Number of (non-empty) clusters = number of shards.
     pub fn num_clusters(&self) -> usize {
-        self.offsets.len() - 1
+        self.layout.num_clusters()
     }
 
     /// The metric the index was built for.
     pub fn metric(&self) -> Metric {
-        self.metric
+        self.layout.bounds.metric()
     }
 
     /// The configured shard-cache budget in bytes.
@@ -712,21 +653,10 @@ impl<'a> ShardedIndex<'a> {
     /// The current resident footprint, the budget, and the peak — the
     /// residency contract is `peak ≤ budget + max_shard × (1 + prefetch_depth)`.
     pub fn resident_bytes(&self) -> PagedResidentBytes {
-        let mut rb = ResidentBytes {
-            train_rows: 0,
-            quantized_codes: 0,
-            quantized_meta: self.quantizer.as_ref().map_or(0, |q| q.param_bytes()),
-            centroids: self.centroids.rows() * self.centroids.cols() * size_of::<f32>()
-                + self.radii.len() * size_of::<f64>()
-                + self.offsets.len() * size_of::<usize>(),
-            row_meta: self.members.len() * size_of::<usize>(),
-        };
+        let mut rb = self.layout.bytes();
+        rb.quantized_meta += self.quantizer.as_ref().map_or(0, |q| q.param_bytes());
         for shard in self.cache.resident.iter().flatten() {
-            rb.train_rows += shard.rows.rows() * shard.rows.cols() * size_of::<f32>();
-            rb.quantized_codes += shard.shadow.as_ref().map_or(0, |s| s.code_bytes());
-            rb.quantized_meta += shard.shadow.as_ref().map_or(0, |s| s.meta_bytes());
-            rb.row_meta +=
-                shard.row_center.len() * size_of::<f64>() + shard.kernel.train_bound() * size_of::<f32>();
+            rb.add(&shard.rows.bytes());
         }
         PagedResidentBytes {
             resident: rb,
@@ -742,78 +672,40 @@ impl<'a> ShardedIndex<'a> {
     /// unbeatable cluster — the prune order is the paging order. With a
     /// non-zero prefetch depth, upcoming shards materialise on pool workers
     /// (via `pf`) while this thread scans the current one.
-    #[allow(clippy::too_many_arguments)] // the scan's full per-query context
     fn query_into(
         &mut self,
-        q: &[f32],
-        offset: usize,
-        skip: usize,
+        query: &ScanQuery<'_>,
         state: &mut TopKState,
-        order: &mut Vec<(f64, f64, usize)>,
+        scratch: &mut ScanScratch,
         pf: &mut Prefetcher,
-        tile: &mut [f32],
-        qtile: &mut [i32],
-        keep: &mut [bool],
-        wbuf: &mut Vec<f32>,
-        vbuf: &mut Vec<i16>,
         stats: &mut PruneStats,
     ) {
-        order.clear();
-        for (c, cent) in self.centroids.rows_iter().enumerate() {
-            let dqc = euclid_f64(q, cent);
-            order.push(((dqc - self.radii[c]).max(0.0), dqc, c));
-        }
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-        pf.begin_query(order);
-        stats.queries += 1;
-        stats.clusters_total += self.num_clusters();
-        stats.rows_total += self.members.len();
-        let qv = MetricKernel::new(self.metric).query_value(q);
-        let err = self.bounds.kernel_err(norm_f64(q));
-        let ShardedIndex { source, metric, centroids, members, offsets, bounds, quantizer, cache, .. } = self;
-        for (pos, &(lb, dqc, c)) in order.iter().enumerate() {
-            let tau_sq = (state.hits().len() == state.k())
-                .then(|| bounds.tau_sq(state.hits().last().expect("full state").distance));
-            if let Some(tau_sq) = tau_sq {
-                // Clusters are ordered by ascending bound and τ only
-                // shrinks, so the first unbeatable cluster ends the query —
-                // and with it, the paging.
-                if bounds.prunes(lb, tau_sq, err) {
-                    break;
-                }
+        self.layout.order(query.q, scratch, stats);
+        pf.begin_query(&scratch.order);
+        let ShardedIndex { source, layout, quantizer, cache, .. } = self;
+        let metric = layout.bounds.metric();
+        for pos in 0..scratch.order.len() {
+            let (lb, dqc, c) = scratch.order[pos];
+            let tau_sq = query.tau_sq(state);
+            // Clusters are ordered by ascending bound and τ only shrinks, so
+            // the first unbeatable cluster ends the query — and with it, the
+            // paging.
+            if tau_sq.is_some_and(|t| query.prunes(lb, t)) {
+                break;
             }
             stats.clusters_visited += 1;
             // Top the pipeline up *before* touching this visit's shard: the
             // workers materialise what comes next while this thread faults
             // (if needed) and scans the current cluster.
-            pf.top_up(
-                cache,
-                order,
-                pos,
-                tau_sq,
-                err,
-                bounds,
-                *source,
-                *metric,
-                members,
-                offsets,
-                centroids,
-                quantizer.as_ref(),
-            );
-            let ids = &members[offsets[c]..offsets[c + 1]];
+            pf.top_up(cache, &scratch.order, pos, tau_sq, query.err, layout, *source, quantizer.as_ref());
+            let ids = &layout.ids[layout.range(c)];
+            let centroid = layout.centroids.row(c);
             let shard = match pf.take(cache, c) {
                 Some(staged) => cache.commit(c, staged),
-                None => {
-                    cache.fault(c, || load_shard(*source, *metric, ids, centroids.row(c), quantizer.as_ref()))
-                }
+                None => cache.fault(c, || load_shard(*source, metric, ids, centroid, quantizer.as_ref())),
             };
-            let qq = shard.shadow.as_ref().and_then(|sh| sh.prepare_query(q, wbuf, vbuf));
-            match (&shard.shadow, qq) {
-                (Some(sh), Some(qq)) => scan_shard_quantized(
-                    shard, sh, &qq, vbuf, bounds, ids, q, qv, err, offset, skip, state, qtile, keep, stats,
-                ),
-                _ => scan_shard_topk(shard, bounds, ids, q, qv, dqc, err, offset, skip, state, tile, stats),
-            }
+            let qq = shard.rows.prepare_query(query.q, scratch);
+            shard.rows.cluster(0..ids.len(), ids, qq.as_ref()).scan(query, dqc, state, scratch, stats);
         }
     }
 
@@ -836,33 +728,13 @@ impl<'a> ShardedIndex<'a> {
         assert_eq!(queries.cols(), self.source.cols(), "query/train dimensionality mismatch");
         assert_eq!(states.len(), queries.rows(), "one top-k state per query required");
         let mut stats = PruneStats::default();
-        let largest =
-            (0..self.num_clusters()).map(|c| self.offsets[c + 1] - self.offsets[c]).max().unwrap_or(1);
-        let tile_len = self.engine.tile_rows().min(largest.max(1));
-        let mut order = Vec::with_capacity(self.num_clusters());
+        let mut scratch = ScanScratch::new(&self.engine, &self.layout, self.quantizer.is_some());
         let mut pf = Prefetcher::new(self.num_clusters(), self.cache.prefetch_depth);
-        let mut tile = vec![0.0f32; tile_len];
-        let quantized = self.quantizer.is_some();
-        let mut qtile = vec![0i32; if quantized { tile_len } else { 0 }];
-        let mut keep = vec![false; if quantized { tile_len } else { 0 }];
-        let mut wbuf = Vec::with_capacity(if quantized { self.source.cols() } else { 0 });
-        let mut vbuf = Vec::with_capacity(if quantized { self.source.cols() } else { 0 });
+        let bounds = self.layout.bounds;
         for (qi, state) in states.iter_mut().enumerate() {
             let skip = exclude_self.map(|b| b + qi).unwrap_or(usize::MAX);
-            self.query_into(
-                queries.row(qi),
-                offset,
-                skip,
-                state,
-                &mut order,
-                &mut pf,
-                &mut tile,
-                &mut qtile,
-                &mut keep,
-                &mut wbuf,
-                &mut vbuf,
-                &mut stats,
-            );
+            let query = ScanQuery::new(queries.row(qi), &bounds, offset, skip);
+            self.query_into(&query, state, &mut scratch, &mut pf, &mut stats);
         }
         // Resolve every outstanding speculative load before returning —
         // the soundness condition of `PrefetchJob`'s pointer erasure.
@@ -900,128 +772,12 @@ impl<'a> ShardedIndex<'a> {
     }
 }
 
-/// Scans one faulted shard into `state` — the shard-local twin of
-/// `ClusteredIndex::scan_cluster_topk`: whole tiles through the shard's
-/// tile kernel when unbroken by the per-row bound or self-exclusion, the
-/// bit-identical per-pair path otherwise.
-#[allow(clippy::too_many_arguments)] // the scan's full per-query context
-fn scan_shard_topk(
-    shard: &Shard,
-    bounds: &PruneBounds,
-    ids: &[usize],
-    q: &[f32],
-    qv: f32,
-    dqc: f64,
-    err: f64,
-    offset: usize,
-    skip: usize,
-    state: &mut TopKState,
-    tile: &mut [f32],
-    stats: &mut PruneStats,
-) {
-    let data = shard.rows.view();
-    let n = data.rows();
-    let mut r = 0usize;
-    while r < n {
-        let len = tile.len().min(n - r);
-        let mut fast = skip == usize::MAX || !ids[r..r + len].iter().any(|&o| offset + o == skip);
-        if fast && state.hits().len() == state.k() {
-            let tau_sq = bounds.tau_sq(state.hits().last().expect("full state").distance);
-            fast = !(r..r + len).any(|j| bounds.prunes((dqc - shard.row_center[j]).abs(), tau_sq, err));
-        }
-        if fast {
-            let out = &mut tile[..len];
-            shard.kernel.tile_with(q, qv, data, r, out);
-            for (j, &d) in out.iter().enumerate() {
-                state.offer(d, offset + ids[r + j]);
-            }
-            stats.rows_scanned += len;
-        } else {
-            for (j, &id) in ids.iter().enumerate().take(r + len).skip(r) {
-                let global = offset + id;
-                if global == skip {
-                    continue;
-                }
-                if state.hits().len() == state.k() {
-                    let tau_sq = bounds.tau_sq(state.hits().last().expect("full state").distance);
-                    if bounds.prunes((dqc - shard.row_center[j]).abs(), tau_sq, err) {
-                        stats.rows_pruned += 1;
-                        continue;
-                    }
-                }
-                state.offer(shard.kernel.pair_with(q, qv, data, j), global);
-                stats.rows_scanned += 1;
-            }
-        }
-        r += len;
-    }
-}
-
-/// The two-phase int8 scan of one faulted shard — the shard-local twin of
-/// `ClusteredIndex::scan_cluster_quantized`: integer dot tiles from the
-/// shard's shadow, the widened bound classifies, survivors re-rank through
-/// the exact kernel.
-#[allow(clippy::too_many_arguments)] // the scan's full per-query context
-fn scan_shard_quantized(
-    shard: &Shard,
-    shadow: &QuantizedShadow,
-    qq: &QuantizedQuery,
-    v: &[i16],
-    bounds: &PruneBounds,
-    ids: &[usize],
-    q: &[f32],
-    qv: f32,
-    err: f64,
-    offset: usize,
-    skip: usize,
-    state: &mut TopKState,
-    qtile: &mut [i32],
-    keep: &mut [bool],
-    stats: &mut PruneStats,
-) {
-    let data = shard.rows.view();
-    let n = data.rows();
-    let mut cached_tau = f32::NAN; // NaN ≠ everything → first full state recomputes
-    let mut cached_threshold = f64::INFINITY;
-    let mut r = 0usize;
-    while r < n {
-        let len = qtile.len().min(n - r);
-        let dots = &mut qtile[..len];
-        shadow.approx_dot_tile(v, r, dots);
-        stats.rows_quantized += len;
-        let threshold = if state.hits().len() == state.k() {
-            let tau = state.hits().last().expect("full state").distance;
-            if tau != cached_tau {
-                cached_tau = tau;
-                cached_threshold = bounds.prune_threshold(tau, err);
-            }
-            cached_threshold
-        } else {
-            f64::INFINITY // not full: every row survives classification
-        };
-        shadow.classify_tile(qq, threshold, r, dots, &mut keep[..len]);
-        for (j, &kept) in keep[..len].iter().enumerate() {
-            if !kept {
-                stats.rows_pruned += 1;
-                continue;
-            }
-            let row = r + j;
-            let global = offset + ids[row];
-            if global == skip {
-                continue;
-            }
-            state.offer(shard.kernel.pair_with(q, qv, data, row), global);
-            stats.rows_scanned += 1;
-        }
-        r += len;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{knn_reference, knn_reference_loo};
     use crate::ClusteredIndex;
+    use snoopy_linalg::Matrix;
 
     fn blobs(n: usize, d: usize, centers: usize, seed: u64) -> Matrix {
         snoopy_testutil::blob_cloud(seed, n, d, centers, 6.0, 0.2)
@@ -1051,6 +807,13 @@ mod tests {
         let mut paged = ShardedIndex::build(train.view(), Metric::SquaredEuclidean, 10, 2 * 6 * 4 * 500 / 10);
         assert_eq!(paged.topk(queries.view(), 5), resident.topk(queries.view(), 5));
         assert_eq!(paged.topk_loo(train.view(), 3), resident.topk_loo(train.view(), 3));
+        // Both indexes run the one scan core, and no scan decision depends
+        // on residency, so even the pruning counters agree at this budget.
+        assert_eq!(paged.topk_with_stats(queries.view(), 5).1, resident.topk_with_stats(queries.view(), 5).1);
+        assert_eq!(
+            paged.topk_loo_with_stats(train.view(), 3).1,
+            resident.topk_loo_with_stats(train.view(), 3).1
+        );
     }
 
     #[test]
